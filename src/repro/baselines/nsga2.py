@@ -41,15 +41,6 @@ from repro.plans.plan import Plan
 
 Genome = Tuple[int, ...]
 
-#: Population size from which the non-dominated sort switches to the
-#: sorted-order (ENS-style) algorithm.  The all-pairs dominance matrix is a
-#: single fast kernel call but materializes O(n²) boolean temporaries, which
-#: is the memory and time bottleneck for very large populations; the indexed
-#: sort processes individuals in lexicographic order and only compares
-#: against already-placed front members.  Results are bit-identical
-#: (``tests/test_store.py`` pins fronts, ranks, and within-front order).
-INDEXED_SORT_MIN_POPULATION = 1024
-
 
 @dataclass
 class Individual:
@@ -360,8 +351,6 @@ class NSGA2Optimizer(AnytimeOptimizer):
         """
         if not population:
             return []
-        if len(population) >= INDEXED_SORT_MIN_POPULATION:
-            return NSGA2Optimizer._fast_non_dominated_sort_indexed(population)
         costs = np.asarray([ind.cost for ind in population], dtype=np.float64)
         dominates = strictly_dominates_matrix(costs, costs)  # [i, j] = i ≺ j
         remaining = dominates.sum(axis=0).astype(np.int64)  # dominators of j
@@ -385,85 +374,6 @@ class NSGA2Optimizer(AnytimeOptimizer):
             else:
                 current = candidates
             rank += 1
-        return fronts
-
-    @staticmethod
-    def _fast_non_dominated_sort_indexed(
-        population: List[Individual],
-    ) -> List[List[Individual]]:
-        """Sorted-order non-dominated sort for very large populations.
-
-        An ENS-style sweep in the spirit of the sorted frontier store:
-        individuals are processed in lexicographic cost order (dominators
-        always precede what they dominate), and each one is placed into the
-        first existing front containing no dominator — which is exactly its
-        non-domination rank.  This avoids the O(n²) all-pairs dominance
-        matrix; only (candidate, placed-front-member) pairs are compared.
-
-        Front membership and ranks equal the matrix-peel algorithm's by
-        construction.  The within-front *order* — which downstream stable
-        sorts tie-break on — is then reconstructed to match the scalar
-        specification: front 0 ascends by population index, and front ``k``
-        orders by (position in front ``k-1`` of the member's last dominator
-        there, population index), the order in which the scalar peel appends.
-        """
-        size = len(population)
-        costs = np.asarray([ind.cost for ind in population], dtype=np.float64)
-        num_metrics = costs.shape[1]
-        order = np.lexsort(
-            tuple(costs[:, metric] for metric in reversed(range(num_metrics)))
-        ) if num_metrics else np.arange(size)
-        front_members: List[List[int]] = []
-        front_costs: List[np.ndarray] = []
-        front_counts: List[int] = []
-        for index in order.tolist():
-            cost = costs[index]
-            placed = False
-            for front in range(len(front_members)):
-                rows = front_costs[front][: front_counts[front]]
-                dominated = bool(
-                    (
-                        np.all(rows <= cost, axis=1) & np.any(rows < cost, axis=1)
-                    ).any()
-                )
-                if not dominated:
-                    placed = True
-                    break
-            if not placed:
-                front = len(front_members)
-                front_members.append([])
-                front_costs.append(np.empty((8, num_metrics), dtype=np.float64))
-                front_counts.append(0)
-            members, count = front_members[front], front_counts[front]
-            buffer = front_costs[front]
-            if count == buffer.shape[0]:
-                grown = np.empty((2 * count, num_metrics), dtype=np.float64)
-                grown[:count] = buffer
-                front_costs[front] = buffer = grown
-            buffer[count] = cost
-            front_counts[front] = count + 1
-            members.append(index)
-        # Reconstruct the scalar peel's within-front order front by front.
-        fronts: List[List[Individual]] = []
-        previous: np.ndarray | None = None
-        for rank, members in enumerate(front_members):
-            candidates = np.asarray(sorted(members), dtype=np.int64)
-            if previous is None:
-                current = candidates
-            else:
-                dominated_by = strictly_dominates_matrix(
-                    costs[previous], costs[candidates]
-                )
-                last_dominator = (
-                    dominated_by.shape[0]
-                    - 1
-                    - np.argmax(dominated_by[::-1, :], axis=0)
-                )
-                current = candidates[np.lexsort((candidates, last_dominator))]
-            for index in current.tolist():
-                population[index].rank = rank
-            fronts.append([population[index] for index in current.tolist()])
-            previous = current
         return fronts
 
     @staticmethod

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Dict, List
 from repro.cost.model import PlanFactory
 from repro.pareto.dominance import strictly_dominates
 from repro.pareto.engine import SMALL_SET_SIZE, as_cost_matrix, dominance_fold
-from repro.pareto.store import resolve_store_policy, sorted_dominance_fold
 from repro.plans.operators import DataFormat
 from repro.plans.plan import JoinPlan, Plan
 from repro.plans.transformations import ArenaTransformationRules, TransformationRules
@@ -75,13 +74,6 @@ class ParetoClimber:
         Safety bound on the number of climbing steps (the climb always
         terminates because every move strictly dominates its predecessor,
         but a bound keeps worst cases predictable).
-    store:
-        Frontier store policy (see :mod:`repro.pareto.store`) accelerating
-        the per-format candidate pruning: any indexed policy resolves large
-        candidate groups through the first-objective-windowed
-        :func:`~repro.pareto.store.sorted_dominance_fold`, ``"flat"`` pins
-        the plain vectorized fold.  The selected plan is identical either
-        way.
     """
 
     def __init__(
@@ -89,14 +81,12 @@ class ParetoClimber:
         factory: PlanFactory,
         rules: TransformationRules | None = None,
         max_steps: int = 10_000,
-        store: str | None = None,
     ) -> None:
         if max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {max_steps}")
         self._factory = factory
         self._rules = rules if rules is not None else TransformationRules()
         self._max_steps = max_steps
-        self._store_policy = resolve_store_policy(store)
         self._plans_built = 0
 
     # ------------------------------------------------------------ ParetoStep
@@ -155,11 +145,6 @@ class ParetoClimber:
         """The transformation rules defining the neighborhood."""
         return self._rules
 
-    @property
-    def store_policy(self) -> str:
-        """Frontier-store policy used for large-group pruning."""
-        return self._store_policy
-
     # ------------------------------------------------------------- internals
     def _rebuild(self, original: JoinPlan, outer: Plan, inner: Plan) -> JoinPlan:
         """Rebuild the original join on top of possibly improved children."""
@@ -173,14 +158,10 @@ class ParetoClimber:
         When two candidates of the same representation are mutually
         non-dominated the incumbent is kept; Section 4.2 explicitly allows
         selecting an arbitrary non-dominated neighbor instead of branching.
-        Large candidate groups resolve the sequential fold through a
-        vectorized kernel — :func:`repro.pareto.engine.dominance_fold`
-        under the ``flat`` policy, the first-objective-windowed
-        :func:`repro.pareto.store.sorted_dominance_fold` under any indexed
-        policy — both of which select exactly the same plan as the scalar
-        loop.
+        Large candidate groups resolve the sequential fold through the
+        vectorized :func:`repro.pareto.engine.dominance_fold`, which selects
+        exactly the same plan as the scalar loop.
         """
-        fold = dominance_fold if self._store_policy == "flat" else sorted_dominance_fold
         groups: Dict[DataFormat, List[Plan]] = {}
         for candidate in candidates:
             groups.setdefault(candidate.output_format, []).append(candidate)
@@ -188,7 +169,7 @@ class ParetoClimber:
         for output_format, group in groups.items():
             if len(group) > SMALL_SET_SIZE:
                 costs = as_cost_matrix([plan.cost for plan in group])
-                best[output_format] = group[fold(costs)]
+                best[output_format] = group[dominance_fold(costs)]
                 continue
             incumbent = group[0]
             for candidate in group[1:]:
@@ -228,7 +209,6 @@ class ArenaParetoClimber:
         model: "BatchCostModel",
         rules: TransformationRules | None = None,
         max_steps: int = 10_000,
-        store: str | None = None,
     ) -> None:
         if max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {max_steps}")
@@ -236,7 +216,6 @@ class ArenaParetoClimber:
         self._arena = model.arena
         self._rules = ArenaTransformationRules(model, rules)
         self._max_steps = max_steps
-        self._store_policy = resolve_store_policy(store)
         self._plans_built = 0
         # handle -> (winners per format, candidate count of the whole
         # recursion), see the class docstring.
@@ -308,11 +287,6 @@ class ArenaParetoClimber:
         """Total number of candidate plans costed by this climber."""
         return self._plans_built
 
-    @property
-    def store_policy(self) -> str:
-        """Frontier-store policy used for large-group pruning."""
-        return self._store_policy
-
     # ------------------------------------------------------------- internals
     def _cost_of(self, ref: "PlanRef"):
         if isinstance(ref, int):
@@ -326,7 +300,6 @@ class ArenaParetoClimber:
         Winners are realized into arena handles; losing candidates never
         touch the arena.
         """
-        fold = dominance_fold if self._store_policy == "flat" else sorted_dominance_fold
         model = self._model
         arena = self._arena
         op_list = arena.op_code_list
@@ -342,7 +315,7 @@ class ArenaParetoClimber:
         for format_code, group in groups.items():
             if len(group) > SMALL_SET_SIZE:
                 costs = as_cost_matrix([self._cost_of(ref) for ref in group])
-                best[format_code] = model.realize(group[fold(costs)])
+                best[format_code] = model.realize(group[dominance_fold(costs)])
                 continue
             incumbent = group[0]
             incumbent_cost = self._cost_of(incumbent)

@@ -42,16 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - imports for type checking only
 
 
 class PlanCache:
-    """Cache of non-dominated partial plans per intermediate result.
+    """Cache of non-dominated partial plans per intermediate result."""
 
-    ``store`` pins the frontier store backing each per-table-set entry (see
-    :mod:`repro.pareto.store`).  The default ``auto`` policy keeps the
-    typically hand-sized entries on the flat fast path and only builds an
-    index for table sets whose frontiers grow unusually large.
-    """
-
-    def __init__(self, store: str | None = None) -> None:
-        self._store = store
+    def __init__(self) -> None:
         self._entries: Dict[FrozenSet[int], Tuple[List[Plan], ParetoSet]] = {}
         # Output formats are compared by identity (``is``), exactly like the
         # original ``SigBetter``; each distinct format object gets a small
@@ -103,7 +96,7 @@ class PlanCache:
         key = plan.rel
         entry = self._entries.get(key)
         if entry is None:
-            entry = ([], ParetoSet(store=self._store))
+            entry = ([], ParetoSet())
             self._entries[key] = entry
         plans, costs = entry
         accepted, evicted = costs.insert(
@@ -209,13 +202,10 @@ class ArenaPlanCache:
 
     Every accept/evict decision, and the resulting frontier order, equals
     the scalar path's.  Only accepted candidates are realized into arena
-    nodes.  ``store`` is accepted for interface parity with
-    :class:`PlanCache` but ignored: the batch kernels play the role the
-    indexed frontier stores play on the object path.
+    nodes.
     """
 
-    def __init__(self, model: "BatchCostModel", store: str | None = None) -> None:
-        del store  # interface parity; see the class docstring
+    def __init__(self, model: "BatchCostModel") -> None:
         self._model = model
         self._arena = model.arena
         self._num_metrics = model.num_metrics

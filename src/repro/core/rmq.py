@@ -73,10 +73,6 @@ class RMQOptimizer(AnytimeOptimizer):
     left_deep_only:
         When True, random plans are drawn from the left-deep space instead of
         the unconstrained bushy space (Section 4.1 notes this variation).
-    store:
-        Frontier store policy (see :mod:`repro.pareto.store`) passed through
-        to the plan cache and the hill climber; results are identical for
-        every policy, only query acceleration differs.
     engine:
         Plan engine: ``"arena"`` (columnar, batch-costed; the default) or
         ``"object"`` (the scalar reference).  ``None`` resolves through the
@@ -94,7 +90,6 @@ class RMQOptimizer(AnytimeOptimizer):
         use_plan_cache: bool = True,
         use_climbing: bool = True,
         left_deep_only: bool = False,
-        store: str | None = None,
         engine: str | None = None,
     ) -> None:
         super().__init__(cost_model)
@@ -104,19 +99,17 @@ class RMQOptimizer(AnytimeOptimizer):
         if self._engine == "arena":
             self._batch_model = BatchCostModel(cost_model)
             self._generator = ArenaRandomPlanGenerator(self._batch_model, self._rng)
-            self._climber = ArenaParetoClimber(
-                self._batch_model, self._rules, store=store
-            )
+            self._climber = ArenaParetoClimber(self._batch_model, self._rules)
             self._approximator = ArenaFrontierApproximator(
                 self._batch_model, schedule
             )
-            self._cache = ArenaPlanCache(self._batch_model, store=store)
+            self._cache = ArenaPlanCache(self._batch_model)
         else:
             self._batch_model = None
             self._generator = RandomPlanGenerator(cost_model, self._rng)
-            self._climber = ParetoClimber(cost_model, self._rules, store=store)
+            self._climber = ParetoClimber(cost_model, self._rules)
             self._approximator = FrontierApproximator(cost_model, schedule)
-            self._cache = PlanCache(store=store)
+            self._cache = PlanCache()
         self._iteration = 0
         self._use_plan_cache = use_plan_cache
         self._use_climbing = use_climbing

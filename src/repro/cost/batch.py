@@ -22,7 +22,10 @@ rows, so the arena grows with kept plans, not evaluated ones.
 Every number produced here is bit-identical to the object path: the scalar
 kernels are the same ``join_cost_cards`` functions the object model calls,
 and the vectorized kernels perform the same IEEE-754 operations (pinned by
-``tests/test_arena.py``).
+``tests/test_arena.py``).  That includes overflow: on 100-table queries
+cardinality products exceed the double range and become ``inf``, exactly as
+scalar float arithmetic does silently, so each batch entry point scopes
+``np.errstate(over="ignore")`` once around its kernels.
 """
 
 from __future__ import annotations
@@ -346,7 +349,8 @@ class BatchCostModel:
             for spec in misses:
                 self._cost_spec_scalar(spec)
         else:
-            self._cost_specs_batch(misses)
+            with np.errstate(over="ignore"):
+                self._cost_specs_batch(misses)
         for spec, key in zip(misses, miss_keys):
             memo[key] = (spec.cardinality, spec.cost)  # type: ignore[assignment]
 
@@ -586,6 +590,7 @@ class BatchCostModel:
             inner_pos=description.inner_pos,
         )
 
+    @np.errstate(over="ignore")
     def join_candidates(
         self, outer_handles: Sequence[int], inner_handles: Sequence[int]
     ) -> CandidateBatch:
@@ -615,6 +620,7 @@ class BatchCostModel:
         )
         return self._assemble_batch(description, node_costs)
 
+    @np.errstate(over="ignore")
     def join_candidates_multi(
         self, pairs: Sequence[Tuple[Sequence[int], Sequence[int]]]
     ) -> List[CandidateBatch]:
@@ -736,6 +742,7 @@ class BatchCostModel:
             groups={},
         )
 
+    @np.errstate(over="ignore")
     def join_candidates_level(
         self,
         splits: Sequence[Tuple[np.ndarray, np.ndarray, frozenset, frozenset]],

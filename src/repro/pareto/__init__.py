@@ -12,12 +12,6 @@ containers built on top of it:
 * :mod:`repro.pareto.engine` — NumPy-backed batched dominance, frontier
   storage (:class:`~repro.pareto.engine.ParetoSet`), the vectorized ε
   indicator, and hypervolume sweeps;
-* :mod:`repro.pareto.store` — the tiered frontier stores behind
-  :class:`~repro.pareto.engine.ParetoSet`: flat scan,
-  :class:`~repro.pareto.store.SortedFrontier` (first-objective blocks with
-  binary-search pruning windows) and
-  :class:`~repro.pareto.store.NDTreeFrontier` (bounding-cost ND-tree),
-  selected by an ``auto`` policy on frontier size and metric count;
 * :mod:`repro.pareto.reference` — the original pure-Python implementations,
   kept as the executable specification the engine is property-tested
   against.
@@ -30,14 +24,6 @@ from repro.pareto.dominance import (
 )
 from repro.pareto.engine import ParetoSet, as_cost_matrix
 from repro.pareto.frontier import ParetoFrontier, pareto_filter
-from repro.pareto.store import (
-    FlatFrontier,
-    FrontierStore,
-    NDTreeFrontier,
-    SortedFrontier,
-    make_store,
-    resolve_store_policy,
-)
 from repro.pareto.epsilon import (
     approximation_error,
     approximation_error_of_plans,
@@ -56,12 +42,6 @@ __all__ = [
     "approx_dominates",
     "ParetoFrontier",
     "ParetoSet",
-    "FrontierStore",
-    "FlatFrontier",
-    "SortedFrontier",
-    "NDTreeFrontier",
-    "make_store",
-    "resolve_store_policy",
     "as_cost_matrix",
     "pareto_filter",
     "approximation_error",

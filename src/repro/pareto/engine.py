@@ -30,16 +30,11 @@ Design points:
   *numerically monotone under union*: the exact value is monotone and the
   final rounding to ``float`` is a monotone map.  :func:`hypervolume_sweep`
   is the fast ``float64`` variant for throughput-sensitive callers.
-* **Tiered frontier stores.**  Dominance queries of :class:`ParetoSet` are
-  answered by a pluggable store (:mod:`repro.pareto.store`): a flat scan, a
-  first-objective-sorted block index, or an ND-tree — selected by an
-  ``auto`` policy on frontier size and metric count.  Contents are
-  bit-identical across stores; only query time differs.
 
 Examples
 --------
-The paper's pruning rule, on the default store (reject if dominated, evict
-what the new row dominates; evicted indices refer to pre-insert positions):
+The paper's pruning rule (reject if dominated, evict what the new row
+dominates; evicted indices refer to pre-insert positions):
 
 >>> from repro.pareto.engine import ParetoSet
 >>> frontier = ParetoSet()
@@ -53,8 +48,6 @@ what the new row dominates; evicted indices refer to pre-insert positions):
 (True, [0, 1])
 >>> frontier.costs()
 [(1.0, 1.0)]
->>> frontier.store_name                # small frontiers stay on the flat path
-'flat'
 
 Batch insertion is equivalent to inserting row by row (same acceptance
 count, same kept rows, same order):
@@ -70,18 +63,10 @@ count, same kept rows, same order):
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
-
-from repro.pareto.store import (
-    AUTO_ENGAGE_SIZE,
-    FrontierStore,
-    make_store,
-    resolve_store_policy,
-)
 
 __all__ = [
     "as_cost_matrix",
@@ -535,15 +520,6 @@ class ParetoSet:
     tags rows with the plan's output data format, implementing the paper's
     ``SigBetter``).  All mutating operations report which rows were evicted
     so that callers can keep side-car data (items, plans) aligned.
-
-    ``store`` selects the frontier store answering dominance queries (see
-    :mod:`repro.pareto.store`): ``"flat"`` scans the whole buffer,
-    ``"sorted"`` and ``"ndtree"`` maintain an index, and ``"auto"`` (the
-    default, overridable with the ``REPRO_FRONTIER_STORE`` environment
-    variable) stays flat below ``AUTO_ENGAGE_SIZE`` rows and then picks an
-    indexed tier by metric count.  The store is a pure search accelerator:
-    kept rows, their order, and every accept/evict decision are identical
-    across stores (``tests/test_store.py`` pins this bit-for-bit).
     """
 
     __slots__ = (
@@ -554,14 +530,9 @@ class ParetoSet:
         "_tuples",
         "_tags",
         "_synced",
-        "_policy",
-        "_index",
-        "_ids",
-        "_next_id",
-        "_has_tags",
     )
 
-    def __init__(self, store: str | None = None) -> None:
+    def __init__(self) -> None:
         self._dim: int | None = None
         self._size = 0
         self._buffer: np.ndarray | None = None
@@ -572,18 +543,6 @@ class ParetoSet:
         # list.  Appends leave the buffer stale (small-set inserts are pure
         # list operations); the vectorized paths re-sync lazily.
         self._synced = 0
-        # Frontier-store policy and (once engaged) the search index with its
-        # id bookkeeping: stable per-row ids parallel to the tuple list and
-        # the id -> position map used to translate eviction answers.
-        self._policy = resolve_store_policy(store)
-        self._index: FrontierStore | None = None
-        # Stable per-row ids parallel to the tuple list, maintained only
-        # while an index is engaged.  Appends take fresh increasing ids and
-        # compaction preserves order, so the list is always strictly
-        # ascending — the position of an id is a binary search away.
-        self._ids: List[int] = []
-        self._next_id = 0
-        self._has_tags = False
 
     # ------------------------------------------------------------ accessors
     def __len__(self) -> int:
@@ -605,20 +564,6 @@ class ParetoSet:
             return np.empty((0, self._dim or 0), dtype=np.float64)
         return self._buffer[: self._size]
 
-    @property
-    def store_name(self) -> str:
-        """Name of the store currently answering queries.
-
-        ``"flat"`` until an indexed store engages; under the ``auto`` policy
-        that happens once the frontier outgrows ``AUTO_ENGAGE_SIZE`` rows.
-        """
-        return self._index.name if self._index is not None else "flat"
-
-    @property
-    def store_policy(self) -> str:
-        """The store policy this set was created with (after env resolution)."""
-        return self._policy
-
     def clear(self) -> None:
         """Remove every row (the next insertion may use a new dimension)."""
         self._size = 0
@@ -628,10 +573,6 @@ class ParetoSet:
         self._tuples = []
         self._tags = []
         self._synced = 0
-        self._index = None
-        self._ids = []
-        self._next_id = 0
-        self._has_tags = False
 
     # ------------------------------------------------------------- internal
     def _prepare(self, cost: Sequence[float]) -> Tuple[float, ...]:
@@ -691,79 +632,18 @@ class ParetoSet:
         before the first eviction still mirrors the rows, so only the
         suffix needs re-syncing.
         """
-        track_ids = self._index is not None
         if len(evicted) <= 32:
             for position in reversed(evicted):
                 del self._tuples[position]
                 del self._tags[position]
-                if track_ids:
-                    del self._ids[position]
         else:
             keep = [True] * self._size
             for position in evicted:
                 keep[position] = False
             self._tuples = [row for row, kept in zip(self._tuples, keep) if kept]
             self._tags = [tag for tag, kept in zip(self._tags, keep) if kept]
-            if track_ids:
-                self._ids = [
-                    row_id for row_id, kept in zip(self._ids, keep) if kept
-                ]
         self._size = len(self._tuples)
         self._synced = min(self._synced, evicted[0]) if evicted else self._synced
-
-    # ------------------------------------------------------- indexed storage
-    def _wants_index(self) -> bool:
-        """Whether the policy asks for an indexed store at the current size."""
-        if not self._dim:  # zero metrics: nothing for an index to prune on
-            return False
-        if self._policy in ("sorted", "ndtree"):
-            return True
-        return self._policy == "auto" and self._size > AUTO_ENGAGE_SIZE
-
-    def _ensure_index(self, dim_hint: int | None = None) -> None:
-        """Engage the indexed store, bulk-loading the current rows.
-
-        Row ids are assigned equal to the current positions; later appends
-        take fresh ids from ``_next_id``.
-        """
-        if self._index is not None:
-            return
-        dim = self._dim if self._size else dim_hint
-        assert dim is not None
-        self._index = make_store(self._policy, dim)
-        self._ids = list(range(self._size))
-        self._next_id = self._size
-        if self._size:
-            self._index.bulk_load(self._ids, self.array(), self._tags)
-
-    def _insert_indexed(
-        self, row: Tuple[float, ...], alpha: float, tag: int
-    ) -> Tuple[bool, List[int]]:
-        """Insert one prepared row through the engaged store index."""
-        index = self._index
-        assert index is not None
-        row_array = np.asarray(row, dtype=np.float64)
-        # With homogeneous (all-zero) tags the tag filter is a no-op; telling
-        # the store so unlocks its bulk accept/collect corner tests.
-        query_tag: int | None = tag if (self._has_tags or tag) else None
-        if self._size:
-            if index.any_covering(row_array, alpha, query_tag):
-                return False, []
-            evicted_ids = index.dominated_ids(row_array, query_tag)
-        else:
-            evicted_ids = []
-        evicted: List[int] = []
-        if evicted_ids:
-            ids = self._ids
-            evicted = [bisect_left(ids, row_id) for row_id in sorted(evicted_ids)]
-            index.remove_ids(evicted_ids)
-            self._compact(evicted)
-        self._append(row, tag)
-        row_id = self._next_id
-        self._next_id += 1
-        self._ids.append(row_id)
-        index.add(row_id, row_array, tag)
-        return True, evicted
 
     # -------------------------------------------------------------- updates
     def insert(
@@ -780,17 +660,10 @@ class ParetoSet:
         if alpha < 1.0:
             raise ValueError(f"approximation factor must be at least 1, got {alpha}")
         row = self._prepare(cost)
-        if tag:
-            self._has_tags = True
-        if self._index is not None:
-            return self._insert_indexed(row, alpha, tag)
         n = self._size
         if n == 0:
             self._append(row, tag)
             return True, []
-        if self._wants_index():
-            self._ensure_index()
-            return self._insert_indexed(row, alpha, tag)
         if n <= SMALL_SET_SIZE:
             tuples, tags = self._tuples, self._tags
             for index in range(n):
@@ -859,14 +732,6 @@ class ParetoSet:
             raise ValueError(
                 f"cost vectors have different lengths: {self._dim} vs {width}"
             )
-        if width and (
-            self._index is not None or self._policy in ("sorted", "ndtree")
-        ):
-            # Indexed stores replace the O(m·n)-per-chunk dominance pass with
-            # per-row windowed queries against the index — the batch path is
-            # *defined* as sequential insertion, so this is trivially
-            # equivalent (and what the store tier is for on large frontiers).
-            return self._insert_batch_indexed(batch)
         if original_size:
             frontier = self.array().copy()
         else:
@@ -906,38 +771,6 @@ class ParetoSet:
         self._synced = self._size
         return accepted_total, kept_indices, surviving_existing
 
-    def _insert_batch_indexed(
-        self, batch: np.ndarray
-    ) -> Tuple[int, List[int], np.ndarray]:
-        """Batch insertion through the store index (sequential semantics).
-
-        Each row goes through :meth:`_insert_indexed`; stable row ids track
-        which pre-existing rows survive and which batch rows are kept, so the
-        return value matches the chunked flat kernel exactly.
-        """
-        original_size = self._size
-        self._ensure_index(dim_hint=int(batch.shape[1]))
-        ids_before = list(self._ids)
-        new_id_to_batch: Dict[int, int] = {}
-        accepted_total = 0
-        for position in range(batch.shape[0]):
-            row = tuple(batch[position].tolist())
-            accepted, _ = self.insert(row, alpha=1.0, tag=0)
-            if accepted:
-                accepted_total += 1
-                new_id_to_batch[self._ids[-1]] = position
-        live = set(self._ids)
-        surviving_existing = np.zeros(original_size, dtype=bool)
-        for position, row_id in enumerate(ids_before):
-            if row_id in live:
-                surviving_existing[position] = True
-        kept_indices = [
-            new_id_to_batch[row_id]
-            for row_id in self._ids
-            if row_id in new_id_to_batch
-        ]
-        return accepted_total, kept_indices, surviving_existing
-
     # ------------------------------------------------------------- queries
     def covers(
         self, cost: Sequence[float], alpha: float, tag: int | None = None
@@ -949,11 +782,6 @@ class ParetoSet:
             return False
         row = self._prepare(cost)
         n = self._size
-        if self._index is not None:
-            query_tag = tag if (self._has_tags or tag) else None
-            return self._index.any_covering(
-                np.asarray(row, dtype=np.float64), alpha, query_tag
-            )
         if n <= SMALL_SET_SIZE:
             return any(
                 (tag is None or self._tags[index] == tag)
@@ -975,10 +803,6 @@ class ParetoSet:
             return False
         row = self._prepare(cost)
         n = self._size
-        if self._index is not None:
-            return self._index.any_strictly_dominating(
-                np.asarray(row, dtype=np.float64)
-            )
         if n <= SMALL_SET_SIZE:
             return any(
                 all(a <= b for a, b in zip(kept, row))

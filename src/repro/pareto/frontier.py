@@ -50,25 +50,19 @@ class ParetoFrontier(Generic[ItemT]):
         already covered by an existing one.  Existing items are only evicted
         by new items that dominate them exactly (factor one), mirroring
         Algorithm 3's pruning function.
-    store:
-        Frontier store policy (see :mod:`repro.pareto.store`): ``"flat"``,
-        ``"sorted"``, ``"ndtree"``, or ``"auto"`` (the default: flat while
-        small, indexed once the frontier grows).  Kept items and their order
-        are identical whichever store is selected.
     """
 
     def __init__(
         self,
         cost_of: Callable[[ItemT], Sequence[float]] = _identity,  # type: ignore[assignment]
         alpha: float = 1.0,
-        store: str | None = None,
     ) -> None:
         if alpha < 1.0:
             raise ValueError(f"approximation factor must be at least 1, got {alpha}")
         self._cost_of = cost_of
         self._alpha = alpha
         self._items: List[ItemT] = []
-        self._set = ParetoSet(store=store)
+        self._set = ParetoSet()
 
     # ------------------------------------------------------------ accessors
     @property
@@ -81,11 +75,6 @@ class ParetoFrontier(Generic[ItemT]):
         if value < 1.0:
             raise ValueError(f"approximation factor must be at least 1, got {value}")
         self._alpha = value
-
-    @property
-    def store_name(self) -> str:
-        """Name of the store currently backing the frontier (diagnostic)."""
-        return self._set.store_name
 
     def items(self) -> List[ItemT]:
         """The currently kept items (copy)."""
@@ -172,19 +161,15 @@ class ParetoFrontier(Generic[ItemT]):
 
 
 def pareto_filter(
-    costs: Iterable[Sequence[float]], alpha: float = 1.0, store: str | None = None
+    costs: Iterable[Sequence[float]], alpha: float = 1.0
 ) -> List[Tuple[float, ...]]:
     """Return a (α-approximate) Pareto-optimal subset of the given cost vectors.
 
     With ``alpha = 1`` the result contains one representative for every
     non-dominated cost value (duplicates are collapsed) and the whole input
     is filtered in one ``insert_all`` call — a single vectorized batch
-    insertion on the flat store, per-row windowed index queries on the
-    indexed stores (``store`` as in :class:`ParetoFrontier`; the result is
-    identical either way).
+    insertion.
     """
-    frontier: ParetoFrontier[Tuple[float, ...]] = ParetoFrontier(
-        alpha=alpha, store=store
-    )
+    frontier: ParetoFrontier[Tuple[float, ...]] = ParetoFrontier(alpha=alpha)
     frontier.insert_all([tuple(cost) for cost in costs])
     return frontier.items()

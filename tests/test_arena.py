@@ -5,8 +5,8 @@ Two layers of guarantees are pinned here:
 1. **Kernel equivalence** — the vectorized metric kernels
    (``join_cost_batch``) and the batch cardinality/cross-product paths are
    *bit-identical* to the scalar kernels (``join_cost_cards``), including
-   NaN/inf cardinalities and extreme magnitudes (hypothesis property tests
-   mirroring the style of ``tests/test_store.py``).
+   NaN/inf cardinalities and extreme magnitudes (hypothesis property
+   tests).
 2. **Engine equivalence** — every rewired search algorithm produces
    bit-identical results under ``engine="arena"`` and ``engine="object"``:
    same frontier contents and order, same RNG stream, same work counters —
@@ -117,7 +117,9 @@ class TestBatchKernelEquivalence:
         # to 1.0 because Python's max keeps the first argument.
         outer = np.asarray([pair[0] for pair in pairs])
         inner = np.asarray([pair[1] for pair in pairs])
-        products = outer * inner * selectivity
+        # Overflow to inf is the scalar float result too.
+        with np.errstate(over="ignore"):
+            products = outer * inner * selectivity
         batch = np.where(products > 1.0, products, 1.0)
         for position, (o, i) in enumerate(pairs):
             expected = max(1.0, o * i * selectivity)
@@ -261,7 +263,6 @@ class TestEngineEquivalence:
             dict(use_plan_cache=False),
             dict(schedule=AlphaSchedule.constant(1.0)),
             dict(schedule=AlphaSchedule.compressed()),
-            dict(store="sorted"),
             dict(rules=TransformationRules(enable_associativity=False)),
             dict(rules=TransformationRules(enable_operator_change=False)),
             dict(rules=TransformationRules(enable_exchange=False)),

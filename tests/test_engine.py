@@ -7,13 +7,16 @@ These tests pin it against the pure-Python reference implementations
 functions in :mod:`repro.pareto.epsilon` / :mod:`repro.pareto.hypervolume`)
 on random inputs: dominance matrices must match the pairwise scalar
 relations, engine-backed frontiers must evolve identically to the scalar
-container (same kept items, same order, same acceptance counts), the batched
+container (same kept items, same order, same acceptance counts — also for
+non-finite costs, tagged rows, duplicates, and interleaved single and batch
+insertions), the batched
 ε indicator must be bit-identical to the scalar double loop, and the
 hypervolume variants must agree up to floating-point accumulation.
 """
 
 from __future__ import annotations
 
+import random
 
 import numpy as np
 import pytest
@@ -46,6 +49,69 @@ alphas = st.floats(min_value=1.0, max_value=50.0, allow_nan=False)
 gridded_cost = st.integers(min_value=0, max_value=4).map(float)
 gridded3 = st.tuples(gridded_cost, gridded_cost, gridded_cost)
 gridded_lists = st.lists(gridded3, min_size=1, max_size=40)
+# Adversarial component values including non-finite ones.
+weird_cost = st.one_of(
+    gridded_cost,
+    finite_cost,
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+)
+
+
+def _normalized(value):
+    """Compare float containers by ``repr`` so that NaN equals NaN."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(_normalized(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+class _TaggedScalarReference:
+    """Scalar specification of a tagged :class:`~repro.pareto.engine.ParetoSet`.
+
+    One :class:`ScalarParetoFrontier` per tag (rows of different tags are
+    never compared); items carry their arrival number so the union can be
+    listed in insertion order, as ``ParetoSet.costs`` does.
+    """
+
+    def __init__(self, alpha=1.0):
+        self.alpha = alpha
+        self._frontiers = {}
+        self._arrivals = 0
+
+    def insert(self, cost, tag=0):
+        frontier = self._frontiers.get(tag)
+        if frontier is None:
+            frontier = ScalarParetoFrontier(cost_of=lambda item: item[1], alpha=self.alpha)
+            self._frontiers[tag] = frontier
+        self._arrivals += 1
+        return frontier.insert((self._arrivals, tuple(cost)))
+
+    def costs(self):
+        items = [item for f in self._frontiers.values() for item in f.items()]
+        return [cost for _, cost in sorted(items, key=lambda item: item[0])]
+
+    def covers(self, cost, alpha, tag=None):
+        return any(
+            frontier.covers(cost, alpha)
+            for frontier_tag, frontier in self._frontiers.items()
+            if tag is None or frontier_tag == tag
+        )
+
+    def dominated_by_any(self, cost):
+        return any(f.dominated_by_any(cost) for f in self._frontiers.values())
+
+
+def _checked_insert(pareto_set, reference, cost, tag=0):
+    """Insert into both; pin acceptance, eviction indices, and contents."""
+    before = pareto_set.costs()
+    accepted, evicted = pareto_set.insert(cost, alpha=reference.alpha, tag=tag)
+    assert accepted == reference.insert(cost, tag=tag)
+    expected = [row for index, row in enumerate(before) if index not in evicted]
+    if accepted:
+        expected.append(tuple(cost))
+    assert _normalized(pareto_set.costs()) == _normalized(expected)
+    assert _normalized(pareto_set.costs()) == _normalized(reference.costs())
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +176,7 @@ class TestFrontierAgainstScalarReference:
         assert accepted == accepted_reference
         assert vectorized.items() == reference.items()
 
-    @given(cost_lists3)
+    @given(st.one_of(cost_lists3, gridded_lists))
     def test_pareto_filter_matches_reference(self, costs):
         assert pareto_filter(costs) == scalar_pareto_filter(costs)
 
@@ -135,6 +201,133 @@ class TestFrontierAgainstScalarReference:
             assert vectorized.insert(cost) == reference.insert(cost)
         assert len(vectorized) > engine.SMALL_SET_SIZE
         assert vectorized.items() == reference.items()
+
+    @given(gridded_lists, st.floats(min_value=1.0, max_value=3.0))
+    def test_gridded_sequences_match_reference(self, rows, alpha):
+        """Single inserts on a small grid with α ≥ 1: ties and duplicates."""
+        pareto_set = engine.ParetoSet()
+        reference = _TaggedScalarReference(alpha)
+        for row in rows:
+            _checked_insert(pareto_set, reference, row)
+
+    @given(
+        st.lists(st.tuples(*[gridded_cost] * 4), max_size=40),
+        st.lists(st.tuples(*[gridded_cost] * 4), min_size=1, max_size=80),
+    )
+    def test_batch_after_seed_matches_reference(self, seed, batch):
+        """A batch merged into a frontier built by single inserts."""
+        pareto_set = engine.ParetoSet()
+        reference: ScalarParetoFrontier = ScalarParetoFrontier()
+        for row in seed:
+            assert pareto_set.insert(row)[0] == reference.insert(row)
+        before = pareto_set.costs()
+        accepted, kept, surviving = pareto_set.insert_batch(batch)
+        assert accepted == sum(1 for row in batch if reference.insert(row))
+        expected = [row for row, alive in zip(before, surviving) if alive]
+        expected += [batch[j] for j in kept]
+        assert pareto_set.costs() == expected == reference.items()
+
+    @given(gridded_lists, st.lists(gridded3, min_size=1, max_size=20))
+    def test_set_queries_match_reference(self, rows, probes):
+        pareto_set = engine.ParetoSet()
+        reference: ScalarParetoFrontier = ScalarParetoFrontier()
+        for row in rows:
+            pareto_set.insert(row)
+            reference.insert(row)
+        for probe in probes:
+            for alpha in (1.0, 2.0):
+                assert pareto_set.covers(probe, alpha) == reference.covers(
+                    probe, alpha
+                )
+            assert pareto_set.strictly_dominates_any(probe) == (
+                reference.dominated_by_any(probe)
+            )
+
+    def test_gridded_rows_match_reference(self):
+        """500 rows on a small grid: many ties, duplicates, and evictions."""
+        rng = random.Random(20160626)
+        rows = [tuple(float(rng.randrange(6)) for _ in range(3)) for _ in range(500)]
+        reference: ScalarParetoFrontier = ScalarParetoFrontier()
+        pareto_set = engine.ParetoSet()
+        for row in rows:
+            assert pareto_set.insert(row)[0] == reference.insert(row)
+        assert pareto_set.costs() == reference.items()
+
+    @given(st.lists(st.tuples(weird_cost, weird_cost, weird_cost), max_size=60))
+    def test_non_finite_rows_match_reference(self, rows):
+        pareto_set = engine.ParetoSet()
+        reference = _TaggedScalarReference()
+        for row in rows:
+            _checked_insert(pareto_set, reference, row)
+
+    def test_large_tagged_set_matches_reference(self, rng):
+        """Past SMALL_SET_SIZE: non-finite components, re-offered rows, tags."""
+        specials = (float("inf"), float("-inf"), float("nan"))
+        pareto_set = engine.ParetoSet()
+        reference = _TaggedScalarReference()
+        offered = []
+        for index in range(300):
+            if index % 5 == 4:
+                row = offered[index // 2]  # exact duplicates must be rejected
+            else:
+                u = rng.random()
+                third = specials[index % 3] if index % 7 == 0 else rng.random()
+                row = (u, 1.0 - u, third)
+            offered.append(row)
+            _checked_insert(pareto_set, reference, row, tag=index % 2)
+        assert len(pareto_set) > engine.SMALL_SET_SIZE
+        for probe in offered[::10]:
+            for tag in (None, 0, 1):
+                assert pareto_set.covers(probe, 1.0, tag) == reference.covers(
+                    probe, 1.0, tag
+                )
+            assert pareto_set.strictly_dominates_any(probe) == (
+                reference.dominated_by_any(probe)
+            )
+
+    @given(
+        st.lists(st.tuples(gridded_cost, gridded_cost), min_size=1, max_size=50),
+        st.lists(st.tuples(gridded_cost, gridded_cost), min_size=1, max_size=20),
+        st.floats(min_value=1.0, max_value=3.0),
+    )
+    def test_tagged_rows_match_reference(self, rows, probes, alpha):
+        """Tags partition the comparisons (the plan cache's ``SigBetter``)."""
+        pareto_set = engine.ParetoSet()
+        reference = _TaggedScalarReference(alpha)
+        for index, row in enumerate(rows):
+            _checked_insert(pareto_set, reference, row, tag=index % 3)
+        for probe in probes:
+            for tag in (None, 0, 1, 2):
+                assert pareto_set.covers(probe, alpha, tag) == reference.covers(
+                    probe, alpha, tag
+                )
+            assert pareto_set.strictly_dominates_any(probe) == (
+                reference.dominated_by_any(probe)
+            )
+
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.tuples(gridded_cost, gridded_cost)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_insert_merge_interleavings(self, script):
+        """Random interleavings of single inserts and batch merges."""
+        pareto_set = engine.ParetoSet()
+        reference: ScalarParetoFrontier = ScalarParetoFrontier()
+        pending = []
+        for is_merge, row in script:
+            if is_merge and pending:
+                accepted, kept, _ = pareto_set.insert_batch(list(pending))
+                offered = len(pareto_set.costs()) - len(kept)
+                assert accepted == sum(1 for cost in pending if reference.insert(cost))
+                assert pareto_set.costs()[offered:] == [pending[j] for j in kept]
+                pending = []
+            else:
+                pending.append(row)
+                assert pareto_set.insert(row)[0] == reference.insert(row)
+            assert pareto_set.costs() == reference.items()
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +366,44 @@ class TestParetoSet:
         pareto_set.insert((1.0, 2.0))
         pareto_set.clear()
         assert pareto_set.insert((1.0, 2.0, 3.0))[0]
+
+    def test_clear_resets_large_set(self):
+        pareto_set = engine.ParetoSet()
+        for i in range(50):  # past SMALL_SET_SIZE: the array buffer is live
+            pareto_set.insert((float(i), float(50 - i)))
+        pareto_set.clear()
+        assert len(pareto_set) == 0 and pareto_set.costs() == []
+        assert pareto_set.insert((1.0, 2.0, 3.0))[0]
+        assert pareto_set.costs() == [(1.0, 2.0, 3.0)]
+
+    def test_duplicate_costs_first_occurrence_kept(self):
+        pareto_set = engine.ParetoSet()
+        assert pareto_set.insert((1.0, 2.0)) == (True, [])
+        assert pareto_set.insert((1.0, 2.0)) == (False, [])
+        assert pareto_set.insert((2.0, 1.0)) == (True, [])
+        assert pareto_set.insert((1.0, 1.0)) == (True, [0, 1])
+        assert pareto_set.costs() == [(1.0, 1.0)]
+        accepted, kept, _ = engine.ParetoSet().insert_batch(
+            [(3.0, 1.0), (1.0, 3.0), (3.0, 1.0), (1.0, 3.0)]
+        )
+        assert (accepted, kept) == (2, [0, 1])
+
+    def test_all_dominated_batch(self):
+        pareto_set = engine.ParetoSet()
+        pareto_set.insert((0.0, 0.0, 0.0))
+        accepted, kept, surviving = pareto_set.insert_batch(
+            [(float(i % 5 + 1), float(i % 3 + 1), float(i % 7 + 1)) for i in range(400)]
+        )
+        assert (accepted, kept, surviving.tolist()) == (0, [], [True])
+        assert pareto_set.costs() == [(0.0, 0.0, 0.0)]
+
+    def test_all_incomparable_batch(self):
+        """Every row kept, across several insertion chunks."""
+        rows = [(float(i), float(1000 - i)) for i in range(600)]
+        pareto_set = engine.ParetoSet()
+        accepted, kept, surviving = pareto_set.insert_batch(rows)
+        assert (accepted, kept, surviving.tolist()) == (600, list(range(600)), [])
+        assert pareto_set.costs() == rows
 
 
 # ---------------------------------------------------------------------------
